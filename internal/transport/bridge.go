@@ -15,9 +15,9 @@ import (
 // exceptions arriving back from the remote side should be fed to the local
 // upstream controller by the host program (see cmd/gates-node).
 //
-// With Batch > 1, packets are coalesced and flushed as one vectored write
-// per Batch packets (and at Finish), trading bounded per-packet latency for
-// one syscall per batch instead of two per packet.
+// With Batch > 1, packets are coalesced and flushed as one write per Batch
+// packets (and at Finish), trading bounded per-packet latency for one
+// syscall per batch instead of one per packet.
 type Egress struct {
 	client *Client
 	// Batch is the number of packets coalesced per flush. 0 or 1 sends

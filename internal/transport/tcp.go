@@ -88,9 +88,11 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	// One reusable frame buffer per connection: Decode's gob layer copies
-	// everything it keeps, so the scratch can back the very next frame.
+	// One reusable frame buffer and one decoder per connection: decode
+	// copies everything it keeps, so the scratch can back the very next
+	// frame.
 	var scratch []byte
+	var dec decoder
 	for {
 		frame, err := readFrameReuse(conn, &scratch)
 		if err != nil {
@@ -98,7 +100,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		s.framesIn.Add(1)
 		s.bytesIn.Add(uint64(len(frame)))
-		msg, err := Decode(frame)
+		msg, err := dec.decode(frame)
 		if err != nil {
 			return // corrupt peer: drop the connection
 		}
@@ -110,12 +112,16 @@ func (s *Server) serveConn(conn net.Conn) {
 // the §4 control plane over TCP: a stage host reports its over/under-load
 // exceptions "to the sending server" on the connections that feed it.
 // Broken peers are dropped silently (their read side ends the connection).
+// m must carry no Value: a value frame belongs to one connection's gob
+// stream, while a header-only frame reads the same on every connection.
 func (s *Server) Broadcast(m Message) error {
-	// Encode once into a pooled buffer (header + payload contiguous) and
-	// write the same bytes to every connection in one Write each.
-	buf := getEncBuf()
-	defer putEncBuf(buf)
-	n, err := appendFrame(buf, m)
+	if m.Value != nil {
+		return errors.New("transport: broadcast message carries a value")
+	}
+	// Encode once and write the same bytes to every connection in one
+	// Write each.
+	var enc encoder
+	n, err := enc.appendFrame(m)
 	if err != nil {
 		return err
 	}
@@ -127,7 +133,7 @@ func (s *Server) Broadcast(m Message) error {
 	s.mu.Unlock()
 	for _, c := range conns {
 		s.writeMu.Lock()
-		_, err := c.Write(buf.Bytes())
+		_, err := c.Write(enc.buf)
 		s.writeMu.Unlock()
 		if err != nil {
 			c.Close()
@@ -170,6 +176,7 @@ type Client struct {
 
 	mu   sync.Mutex
 	conn net.Conn
+	enc  encoder // guarded by mu: frames hit the wire in encoding order
 }
 
 // ReadLoop consumes messages the server writes back on this connection,
@@ -184,12 +191,13 @@ func (c *Client) ReadLoop(handler Handler) {
 	}
 	labelTransport()
 	var scratch []byte
+	var dec decoder
 	for {
 		frame, err := readFrameReuse(conn, &scratch)
 		if err != nil {
 			return
 		}
-		m, err := Decode(frame)
+		m, err := dec.decode(frame)
 		if err != nil {
 			return
 		}
@@ -206,51 +214,44 @@ func Dial(addr string) (*Client, error) {
 	return &Client{conn: conn}, nil
 }
 
-// Send encodes and frames one message: one pooled buffer, one coalesced
-// conn.Write carrying header and payload together.
+// Send encodes and frames one message and writes it in one conn.Write.
 func (c *Client) Send(m Message) error {
-	buf := getEncBuf()
-	defer putEncBuf(buf)
-	n, err := appendFrame(buf, m)
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
-		return errors.New("transport: client closed")
-	}
-	if _, err := c.conn.Write(buf.Bytes()); err != nil {
-		return fmt.Errorf("transport: write frame: %w", err)
-	}
-	c.framesOut.Add(1)
-	c.bytesOut.Add(uint64(n))
-	return nil
+	return c.send([]Message{m})
 }
 
-// SendBatch encodes every message into one pooled buffer and flushes all
-// frames in a single write under a single lock acquisition. Peers decode
-// the result exactly as a sequence of Send calls; order is preserved.
+// SendBatch encodes every message and flushes all frames in a single write
+// under a single lock acquisition. Peers decode the result exactly as a
+// sequence of Send calls; order is preserved. If any message fails to
+// encode, none is sent.
 func (c *Client) SendBatch(msgs []Message) error {
 	if len(msgs) == 0 {
 		return nil
 	}
-	buf := getEncBuf()
-	defer putEncBuf(buf)
-	var total uint64
-	for _, m := range msgs {
-		n, err := appendFrame(buf, m)
-		if err != nil {
-			return err
-		}
-		total += uint64(n)
-	}
+	return c.send(msgs)
+}
+
+// send encodes msgs into the client's frame buffer and writes them. The
+// encoder is stateful, so encoding and writing share one critical section;
+// if the frames do not all reach the wire, the encoder's gob stream is
+// dropped and the next value frame starts a new one.
+func (c *Client) send(msgs []Message) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.conn == nil {
 		return errors.New("transport: client closed")
 	}
-	if _, err := c.conn.Write(buf.Bytes()); err != nil {
+	c.enc.buf = c.enc.buf[:0]
+	var total uint64
+	for _, m := range msgs {
+		n, err := c.enc.appendFrame(m)
+		if err != nil {
+			c.enc.drop()
+			return err
+		}
+		total += uint64(n)
+	}
+	if _, err := c.conn.Write(c.enc.buf); err != nil {
+		c.enc.drop()
 		return fmt.Errorf("transport: write frames: %w", err)
 	}
 	c.framesOut.Add(uint64(len(msgs)))

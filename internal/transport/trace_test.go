@@ -12,19 +12,11 @@ import (
 )
 
 // TestCodecTraceContextRoundTrip checks the trace context — lineage birth
-// time, trace id, hop count — survives Encode/Decode unchanged.
+// time, trace id, hop count — survives the connection codec unchanged.
 func TestCodecTraceContextRoundTrip(t *testing.T) {
 	birth := time.Date(2000, 1, 1, 0, 0, 3, 500, time.UTC)
 	pkt := &pipeline.Packet{Seq: 9, Birth: birth, TraceID: 0xDEADBEEF, TraceHops: 2}
-	b, err := Encode(PacketMessage(pkt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := Decode(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := m.Packet()
+	got := roundTrip(t, PacketMessage(pkt)).Packet()
 	if !got.Birth.Equal(birth) || got.TraceID != 0xDEADBEEF || got.TraceHops != 2 {
 		t.Fatalf("trace context mangled: birth=%v id=%x hops=%d", got.Birth, got.TraceID, got.TraceHops)
 	}

@@ -5,7 +5,10 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
+	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -15,49 +18,102 @@ import (
 	"github.com/gates-middleware/gates/internal/pipeline"
 )
 
-func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	payloads := [][]byte{[]byte("hello"), {}, bytes.Repeat([]byte{0xAB}, 100_000)}
-	for _, p := range payloads {
-		if err := WriteFrame(&buf, p); err != nil {
+// encodeFrames encodes msgs with one fresh connection encoder and returns
+// the wire bytes, length prefixes included.
+func encodeFrames(t testing.TB, msgs ...Message) []byte {
+	t.Helper()
+	var e encoder
+	for _, m := range msgs {
+		if _, err := e.appendFrame(m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, want := range payloads {
-		got, err := ReadFrame(&buf)
+	return e.buf
+}
+
+// decodeFrames reads every frame in wire through readFrameReuse into one
+// fresh connection decoder, the way a read loop does.
+func decodeFrames(t testing.TB, wire []byte) []Message {
+	t.Helper()
+	r := bytes.NewReader(wire)
+	var scratch []byte
+	var d decoder
+	var out []Message
+	for {
+		frame, err := readFrameReuse(r, &scratch)
+		if errors.Is(err, io.EOF) {
+			return out
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("frame mismatch: got %d bytes, want %d", len(got), len(want))
+		m, err := d.decode(frame)
+		if err != nil {
+			t.Fatal(err)
 		}
+		out = append(out, m)
 	}
-	if _, err := ReadFrame(&buf); !errors.Is(err, io.EOF) {
-		t.Fatalf("drained reader returned %v, want EOF", err)
+}
+
+// roundTrip sends m alone through a fresh encoder and decoder.
+func roundTrip(t testing.TB, m Message) Message {
+	t.Helper()
+	got := decodeFrames(t, encodeFrames(t, m))
+	if len(got) != 1 {
+		t.Fatalf("decoded %d messages, want 1", len(got))
+	}
+	return got[0]
+}
+
+func TestFrameRoundTrip(t *testing.T) {
+	values := []any{"hello", nil, bytes.Repeat([]byte{0xAB}, 100_000), 7}
+	msgs := make([]Message, len(values))
+	for i, v := range values {
+		msgs[i] = PacketMessage(&pipeline.Packet{Seq: uint64(i), Value: v})
+	}
+	got := decodeFrames(t, encodeFrames(t, msgs...))
+	if len(got) != len(msgs) {
+		t.Fatalf("decoded %d frames, want %d", len(got), len(msgs))
+	}
+	for i, want := range msgs {
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("frame %d: got %+v, want %+v", i, got[i], want)
+		}
 	}
 }
 
 func TestFrameTooLargeWrite(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, make([]byte, MaxFrameSize+1)); !errors.Is(err, ErrFrameTooLarge) {
+	var e encoder
+	e.buf = append(e.buf, "kept"...)
+	_, err := e.appendFrame(PacketMessage(&pipeline.Packet{Value: make([]byte, MaxFrameSize)}))
+	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized write = %v, want ErrFrameTooLarge", err)
+	}
+	if string(e.buf) != "kept" {
+		t.Fatalf("oversized write left %d bytes in the buffer, want the 4 already there", len(e.buf))
 	}
 }
 
 func TestFrameTooLargeRead(t *testing.T) {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], MaxFrameSize+1)
-	if _, err := ReadFrame(bytes.NewReader(hdr[:])); !errors.Is(err, ErrFrameTooLarge) {
+	var scratch []byte
+	if _, err := readFrameReuse(bytes.NewReader(hdr[:]), &scratch); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized read = %v, want ErrFrameTooLarge", err)
+	}
+	if cap(scratch) != 0 {
+		t.Fatalf("oversized read grew the scratch to %d bytes", cap(scratch))
 	}
 }
 
 func TestFrameShortPayload(t *testing.T) {
-	var buf bytes.Buffer
-	WriteFrame(&buf, []byte("hello"))
-	trunc := buf.Bytes()[:6] // header + 2 of 5 payload bytes
-	if _, err := ReadFrame(bytes.NewReader(trunc)); err == nil {
-		t.Fatal("truncated frame read succeeded")
+	wire := encodeFrames(t, PacketMessage(&pipeline.Packet{SourceStage: "hello"}))
+	var scratch []byte
+	for cut := 1; cut < len(wire); cut++ {
+		_, err := readFrameReuse(bytes.NewReader(wire[:cut]), &scratch)
+		if err == nil {
+			t.Fatalf("frame cut to %d of %d bytes: read = %v", cut, len(wire), err)
+		}
 	}
 }
 
@@ -70,15 +126,7 @@ func TestCodecPacketRoundTrip(t *testing.T) {
 		WireSize:       128,
 		Value:          "payload",
 	}
-	b, err := Encode(PacketMessage(pkt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := Decode(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := m.Packet()
+	got := roundTrip(t, PacketMessage(pkt)).Packet()
 	if got.SourceStage != "sampler" || got.SourceInstance != 3 || got.Seq != 42 ||
 		got.Items != 7 || got.WireSize != 128 || got.Value.(string) != "payload" {
 		t.Fatalf("round trip mismatch: %+v", got)
@@ -86,32 +134,87 @@ func TestCodecPacketRoundTrip(t *testing.T) {
 }
 
 func TestCodecExceptionRoundTrip(t *testing.T) {
-	b, err := Encode(ExceptionMessage(adapt.ExceptionOverload))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := Decode(b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := roundTrip(t, ExceptionMessage(adapt.ExceptionOverload))
 	if m.Kind != KindException || m.Exception != adapt.ExceptionOverload {
 		t.Fatalf("decoded %+v", m)
 	}
 }
 
+// TestCodecRoundTripCases covers the header fields' edge values: the zero
+// Birth, the virtual clock's epoch, a Final marker with no value, an
+// exception frame, and negative and maximal integers.
+func TestCodecRoundTripCases(t *testing.T) {
+	cases := map[string]Message{
+		"zero birth":  PacketMessage(&pipeline.Packet{Seq: 1, Value: 1}),
+		"epoch birth": PacketMessage(&pipeline.Packet{Seq: 2, Birth: clock.Epoch, TraceID: 5, Value: 2}),
+		"final":       {Kind: KindPacket, Final: true},
+		"exception":   ExceptionMessage(adapt.ExceptionUnderload),
+		"extremes": {Kind: KindPacket, SourceStage: "s", SourceInstance: -1, Seq: math.MaxUint64,
+			Items: math.MinInt64, WireSize: math.MaxInt64, TraceID: math.MaxUint64, TraceHops: 255,
+			Birth: time.Unix(0, -1).UTC()},
+	}
+	for name, want := range cases {
+		t.Run(name, func(t *testing.T) {
+			got := roundTrip(t, want)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("got %+v, want %+v", got, want)
+			}
+		})
+	}
+	if m := roundTrip(t, cases["final"]); m.Value != nil || !m.Birth.IsZero() {
+		t.Fatalf("final marker decoded with value %v, birth %v", m.Value, m.Birth)
+	}
+}
+
 func TestCodecRejectsGarbage(t *testing.T) {
-	if _, err := Decode([]byte("not gob")); err == nil {
+	var d decoder
+	if _, err := d.decode([]byte("not a frame")); err == nil {
 		t.Fatal("garbage decoded")
 	}
-	// A valid gob of an unknown kind is also rejected.
-	b, _ := Encode(Message{Kind: KindPacket})
-	var m Message
-	m.Kind = 0
-	b2, _ := Encode(m)
-	if _, err := Decode(b2); err == nil {
-		t.Fatal("zero-kind message accepted")
+	// frame returns a valid frame of m, less its length prefix, for a
+	// test to corrupt.
+	frame := func(m Message) []byte { return encodeFrames(t, m)[4:] }
+	packet := PacketMessage(&pipeline.Packet{SourceStage: "relay", Seq: 9, Value: 3})
+	bad := map[string][]byte{}
+	b := frame(packet)
+	b[1] = 0
+	bad["zero kind"] = b
+	b = frame(packet)
+	b[1] = 9
+	bad["unknown kind"] = b
+	b = frame(packet)
+	b[0] = wireVersion + 1
+	bad["bad version"] = b
+	b = frame(packet)
+	b[2] |= 0x80
+	bad["unknown flag"] = b
+	b = frame(packet)
+	b[2] &^= flagReset
+	bad["value outside a gob stream"] = b
+	b = frame(ExceptionMessage(adapt.ExceptionOverload))
+	b[2] |= flagValue | flagReset
+	bad["exception with value"] = append(b, frame(packet)[len(b):]...)
+	bad["trailing byte after header"] = append(frame(Message{Kind: KindPacket, Final: true}), 0)
+	bad["trailing byte after value"] = append(frame(packet), 0)
+	hdr := frame(Message{Kind: KindPacket, SourceStage: "relay", Seq: 1 << 40})
+	for cut := 0; cut < len(hdr); cut++ {
+		bad[fmt.Sprintf("header cut to %d", cut)] = hdr[:cut]
 	}
-	_ = b
+	val := frame(packet)
+	bad["value cut short"] = val[:len(val)-1]
+	for name, b := range bad {
+		var d decoder
+		if m, err := d.decode(b); err == nil {
+			t.Errorf("%s: decoded %+v", name, m)
+		}
+	}
+	// The encoder refuses what the decoder would reject.
+	var e encoder
+	for _, m := range []Message{{}, {Kind: KindException, Value: 1}, {Kind: KindException, Exception: 256}} {
+		if _, err := e.appendFrame(m); err == nil {
+			t.Errorf("encoded %+v", m)
+		}
+	}
 }
 
 func TestClientServerEndToEnd(t *testing.T) {
@@ -400,44 +503,33 @@ func TestReadLoopNilSafe(t *testing.T) {
 	cli.ReadLoop(nil) // nil handler: returns immediately
 }
 
-func TestWriteFramesReadBackIdentical(t *testing.T) {
-	payloads := [][]byte{[]byte("alpha"), {}, bytes.Repeat([]byte{0x5C}, 9000), []byte("omega")}
-
-	var batched bytes.Buffer
-	if err := WriteFrames(&batched, payloads); err != nil {
-		t.Fatal(err)
+// TestBatchFramesReadBackIdentical checks that the gob stream lives in the
+// encoder, not in the buffer: frames encoded into one buffer and frames
+// encoded one per buffer produce the same wire bytes and read back alike.
+func TestBatchFramesReadBackIdentical(t *testing.T) {
+	msgs := []Message{
+		PacketMessage(&pipeline.Packet{Seq: 1, Value: "alpha"}),
+		{Kind: KindPacket, Seq: 2},
+		PacketMessage(&pipeline.Packet{Seq: 3, Value: bytes.Repeat([]byte{0x5C}, 9000)}),
+		ExceptionMessage(adapt.ExceptionOverload),
+		PacketMessage(&pipeline.Packet{Seq: 4, Value: "omega"}),
 	}
-	var single bytes.Buffer
-	for _, p := range payloads {
-		if err := WriteFrame(&single, p); err != nil {
+	batched := encodeFrames(t, msgs...)
+	var single []byte
+	var e encoder
+	for _, m := range msgs {
+		e.buf = e.buf[:0]
+		if _, err := e.appendFrame(m); err != nil {
 			t.Fatal(err)
 		}
+		single = append(single, e.buf...)
 	}
-	if !bytes.Equal(batched.Bytes(), single.Bytes()) {
-		t.Fatal("WriteFrames wire bytes differ from repeated WriteFrame")
+	if !bytes.Equal(batched, single) {
+		t.Fatal("batched wire bytes differ from frame-at-a-time encoding")
 	}
-	for _, want := range payloads {
-		got, err := ReadFrame(&batched)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("frame mismatch: got %d bytes, want %d", len(got), len(want))
-		}
-	}
-	if _, err := ReadFrame(&batched); !errors.Is(err, io.EOF) {
-		t.Fatalf("drained reader returned %v, want EOF", err)
-	}
-}
-
-func TestWriteFramesRejectsOversized(t *testing.T) {
-	var buf bytes.Buffer
-	err := WriteFrames(&buf, [][]byte{[]byte("ok"), make([]byte, MaxFrameSize+1)})
-	if !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("oversized batch = %v, want ErrFrameTooLarge", err)
-	}
-	if buf.Len() != 0 {
-		t.Fatalf("oversized batch wrote %d bytes before failing", buf.Len())
+	got := decodeFrames(t, batched)
+	if !reflect.DeepEqual(got, msgs) {
+		t.Fatalf("read back %+v, want %+v", got, msgs)
 	}
 }
 

@@ -232,6 +232,26 @@ END {
     printf "guard: %d hot-path benchmarks at 0 allocs/op\n", n
 }'
 
+echo "== transport codec alloc guard =="
+# One encode plus decode of a benchmark-shaped packet (eight ints plus ids)
+# on one connection's encoder/decoder pair. Type descriptors cross a
+# connection once, so the steady state is a handful of allocations: the
+# decoded Value, the stage name, gob's per-message state. A codec that
+# re-sends type descriptors in every frame takes ~276 allocs/op; above 16
+# means per-frame codec state has crept back.
+codec_raw="$(go test -run '^$' -bench 'BenchmarkCodecRoundTrip$' -benchmem \
+  -benchtime 20000x ./internal/transport)"
+echo "$codec_raw"
+echo "$codec_raw" | awk '
+/^BenchmarkCodecRoundTrip/ {
+    for (i = 2; i <= NF; i++) if ($i == "allocs/op") { n++; allocs = $(i - 1) + 0 }
+}
+END {
+    if (n == 0) { print "guard: BenchmarkCodecRoundTrip reported no allocs/op"; exit 1 }
+    if (allocs > 16) { printf "guard: codec round trip at %d allocs/op, bound 16\n", allocs; exit 1 }
+    printf "guard: codec round trip at %d allocs/op (bound 16)\n", allocs
+}'
+
 echo "== observability overhead guard =="
 # The observed hot path must stay close to the untraced one:
 # BenchmarkPipelineThroughputObserved runs the identical batch=16 pipeline
