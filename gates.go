@@ -69,18 +69,6 @@ type (
 	// Engine is the in-process execution fabric, available directly for
 	// programs that wire stages without the XML/deployment layer.
 	Engine = pipeline.Engine
-	// QueueKind selects a stage's input-buffer implementation (see
-	// StageConfig.Queue); the default QueueAuto picks a lock-free ring
-	// sized to the edge cardinality.
-	QueueKind = pipeline.QueueKind
-)
-
-// Queue implementations for StageConfig.Queue.
-const (
-	QueueAuto  = pipeline.QueueAuto
-	QueueSPSC  = pipeline.QueueSPSC
-	QueueMPSC  = pipeline.QueueMPSC
-	QueueMutex = pipeline.QueueMutex
 )
 
 // GetPacket returns an empty packet from the global packet pool with one

@@ -218,11 +218,10 @@ func (s *Stage) Upstreams() []*Stage {
 // replay, and processing it twice would double-count. Paused-only, with
 // every producer also paused.
 func (s *Stage) DiscardQueued() (int, []*Packet) {
-	q := s.inq()
 	n := 0
 	var finals []*Packet
 	for {
-		p, err := q.TryPop()
+		p, err := s.in.TryPop()
 		if err != nil {
 			break
 		}
@@ -243,9 +242,8 @@ func (s *Stage) DiscardQueued() (int, []*Packet) {
 // every downstream stage forever. Only a closed queue releases the packets
 // — the run is already over and nobody is owed termination.
 func (s *Stage) Requeue(pkts []*Packet) {
-	q := s.inq()
 	for _, p := range pkts {
-		if err := q.Push(p); err != nil {
+		if err := s.in.Push(p); err != nil {
 			p.Release()
 		}
 	}
@@ -270,10 +268,10 @@ func (s *Stage) Downstreams() []*Stage {
 // evicted and is unrecoverable — an at-least-once guarantee violation worth
 // alarming on).
 //
-// Call only while this stage (the emitter) is paused — making the recovery
-// goroutine the edge's sole producer, which keeps even an SPSC destination
-// ring safe — and with dst either paused or running behind a queue; dst
-// consuming concurrently is fine.
+// Call only while this stage (the emitter) is paused, so the recovery
+// goroutine is the edge's sole producer and replayed packets cannot
+// interleave with live emissions; dst may be paused or consuming
+// concurrently.
 func (s *Stage) ReplayInto(ctx context.Context, dst *Stage, from, to uint64) (replayed int, gap bool, err error) {
 	var ring *replayRing
 	for _, out := range s.outs {
@@ -289,7 +287,6 @@ func (s *Stage) ReplayInto(ctx context.Context, dst *Stage, from, to uint64) (re
 	if oldest, ok := ring.oldest(); ring.evicted() && (!ok || from < oldest) {
 		gap = true
 	}
-	q := dst.inq()
 	now := s.clk.Now()
 	var pushErr error
 	ring.scan(func(e replayEntry) {
@@ -304,7 +301,7 @@ func (s *Stage) ReplayInto(ctx context.Context, dst *Stage, from, to uint64) (re
 		p.Items = e.items
 		p.WireSize = e.wire
 		p.Created = now
-		if err := q.PushCtx(ctx, p); err != nil {
+		if err := dst.in.PushCtx(ctx, p); err != nil {
 			p.Release()
 			pushErr = err
 			return

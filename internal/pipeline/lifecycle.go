@@ -247,7 +247,7 @@ func (s *Stage) currentPopCtx() context.Context {
 // the wire bytes they occupy — the in-flight buffer a migration must move
 // with the stage.
 func (s *Stage) QueuedState() (packets int, bytes int) {
-	for _, p := range s.inq().Snapshot() {
+	for _, p := range s.in.Snapshot() {
 		packets++
 		bytes += p.size(s.cfg.DefaultPacketSize)
 	}

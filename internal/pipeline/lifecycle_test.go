@@ -220,7 +220,7 @@ func TestPauseWakesBlockedBatchedPush(t *testing.T) {
 		t.Fatalf("pause sink: %v", err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for s2.inq().Len() < s2.inq().Cap() {
+	for s2.in.Len() < s2.in.Cap() {
 		if time.Now().After(deadline) {
 			t.Fatal("sink queue never filled")
 		}

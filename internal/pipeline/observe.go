@@ -64,9 +64,6 @@ func (s *Stage) Instrument(reg *obs.Registry) {
 		"Virtual compute time charged by the stage's processing code.", lb,
 		func() float64 { return s.Stats().ComputeCharged.Seconds() })
 
-	// Queue series read through inq(): Engine.Run may still be swapping in
-	// the resolved ring when an external monitor instruments a stage, and
-	// scrapes must follow the live buffer either way.
 	reg.GaugeFunc("gates_queue_depth",
 		"Current input-queue occupancy d.", lb,
 		func() float64 { return float64(s.QueueLen()) })
@@ -90,7 +87,7 @@ func (s *Stage) Instrument(reg *obs.Registry) {
 		func() float64 { return float64(s.QueueStats().Dropped) })
 	reg.GaugeFunc(obs.MetricQueueCapacity,
 		"Input buffer capacity C.", lb,
-		func() float64 { return float64(s.inq().Cap()) })
+		func() float64 { return float64(s.in.Cap()) })
 
 	// Backpressure stall series for the attribution engine. These are
 	// wall-clock seconds (see queue.Stats): a parked goroutine advances no
@@ -129,11 +126,11 @@ func (s *Stage) Instrument(reg *obs.Registry) {
 
 	// Instrument can be called both by Engine.Run (before the stage
 	// goroutines exist) and by a monitor watching an already-running
-	// engine; serialize the owned-histogram hookup and keep the first
-	// assignment so the concurrent-run case never writes a field the
-	// drain loop is reading. (The drain loop only reads batchSec when the
-	// engine was observed at Run time, in which case it was already set
-	// under this lock before the goroutines started.)
+	// engine; the first hookup wins. batchSec is set under the lock: the
+	// drain loop only reads it when the engine was observed at Run time,
+	// in which case it was set before the goroutines started. The latency
+	// scratches are read by every drain loop whenever present, so they
+	// are published with one atomic store the loop loads per batch.
 	h := reg.Histogram("gates_stage_batch_seconds",
 		"Virtual time to process and flush one drained input batch (sampled).",
 		nil, lb)
@@ -147,15 +144,8 @@ func (s *Stage) Instrument(reg *obs.Registry) {
 	if s.batchSec == nil {
 		s.batchSec = h
 	}
-	if s.hopSec == nil {
-		s.hopSec = hop
-		s.hopScr = hop.Scratch()
-	}
-	if s.e2eSec == nil {
-		s.e2eSec = e2e
-		s.e2eScr = e2e.Scratch()
-	}
 	s.mu.Unlock()
+	s.lat.CompareAndSwap(nil, &latencyScratch{hop: hop.Scratch(), e2e: e2e.Scratch()})
 }
 
 // recordAdjustment turns one AdjustDetailed epoch into an audit event and a

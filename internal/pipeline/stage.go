@@ -36,51 +36,10 @@ type Source interface {
 	Run(ctx *Context, out *Emitter) error
 }
 
-// QueueKind selects a stage's input-buffer implementation.
-type QueueKind int
-
-const (
-	// QueueAuto (the zero value) lets the engine decide at Run time:
-	// a lock-free SPSC ring when exactly one upstream stage feeds the
-	// instance, a lock-free MPSC ring otherwise. The service Planner
-	// makes the same decision at Plan time from the wire cardinality
-	// and records it in the Plan.
-	QueueAuto QueueKind = iota
-	// QueueSPSC is the single-producer single-consumer ring. Selecting
-	// it for a stage with more than one upstream stage is unsafe; the
-	// engine falls back to MPSC rather than corrupt the ring.
-	QueueSPSC
-	// QueueMPSC is the multi-producer single-consumer ring.
-	QueueMPSC
-	// QueueMutex is the original mutex+condvar queue (any producer and
-	// consumer cardinality). Sources keep it as an inert placeholder;
-	// it remains available as an explicit opt-out of the rings.
-	QueueMutex
-)
-
-// String renders the queue kind name.
-func (k QueueKind) String() string {
-	switch k {
-	case QueueAuto:
-		return "auto"
-	case QueueSPSC:
-		return "spsc"
-	case QueueMPSC:
-		return "mpsc"
-	case QueueMutex:
-		return "mutex"
-	default:
-		return fmt.Sprintf("queuekind(%d)", int(k))
-	}
-}
-
 // StageConfig tunes one stage instance.
 type StageConfig struct {
 	// QueueCapacity is C, the capacity of the input buffer. Default 200.
 	QueueCapacity int
-	// Queue selects the input-buffer implementation; see QueueKind. The
-	// zero value (QueueAuto) picks per-edge-cardinality at Run time.
-	Queue QueueKind
 	// Adapt configures the §4 algorithm for this stage. Zero-valued
 	// fields default per adapt.Defaults with the stage's queue capacity.
 	Adapt adapt.Options
@@ -175,12 +134,9 @@ type Stage struct {
 	cfg   StageConfig
 	clk   clock.Clock
 	pacer *clock.Pacer
-	// in is the stage's input buffer. Registered as a mutex Queue, then
-	// replaced (under mu) by Engine.Run with the ring implementation the
-	// resolved QueueKind selects, before any stage goroutine exists. Hot
-	// loops read it directly (they start after the swap); external
-	// observers go through inq().
-	in   queue.Buffer[*Packet]
+	// in is the stage's input buffer, built at registration and never
+	// replaced.
+	in   *queue.Queue[*Packet]
 	ctrl *adapt.Controller
 
 	// o, the trace ops, and the owned histograms are set before the stage
@@ -192,15 +148,11 @@ type Stage struct {
 	batchOp  *obs.Op
 	flushOp  *obs.Op
 	batchSec *obs.Histogram
-	// hopSec and e2eSec are the latency histograms: emission-upstream →
-	// consumption-here, and lineage-birth → consumption-here. The drain
-	// loop records through the goroutine-local scratches and flushes
-	// them once per drained batch, so the per-packet path never touches
-	// the shared histograms' atomics.
-	hopSec *obs.Histogram
-	e2eSec *obs.Histogram
-	hopScr *obs.Scratch
-	e2eScr *obs.Scratch
+	// lat feeds the latency histograms (see latencyScratch); nil means
+	// unobserved. Instrument publishes it once, possibly while the stage
+	// is already running under a monitor, so the drain loops load it
+	// atomically once per drained batch.
+	lat atomic.Pointer[latencyScratch]
 	// rootSmp mints trace ids for source emissions on the tracer's
 	// cadence (nil for processor stages or unobserved engines).
 	rootSmp *obs.RootSampler
@@ -314,29 +266,11 @@ func (s *Stage) SetNode(node string) {
 // Controller returns the stage's adaptation controller.
 func (s *Stage) Controller() *adapt.Controller { return s.ctrl }
 
-// inq returns the stage's input buffer for external observers. The buffer
-// reference is swapped once by Engine.Run (resolveQueue) before the stage
-// goroutines start; reading it under mu keeps observers that instrument a
-// stage concurrently with engine startup (monitor, migration) race-free.
-func (s *Stage) inq() queue.Buffer[*Packet] {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.in
-}
-
 // QueueLen returns the current input-queue occupancy.
-func (s *Stage) QueueLen() int { return s.inq().Len() }
+func (s *Stage) QueueLen() int { return s.in.Len() }
 
 // QueueStats returns the input queue's counters.
-func (s *Stage) QueueStats() queue.Stats { return s.inq().Stats() }
-
-// ResolvedQueue reports which input-buffer implementation the stage ended up
-// with (meaningful after Engine.Run has started the stage).
-func (s *Stage) ResolvedQueue() QueueKind {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cfg.Queue
-}
+func (s *Stage) QueueStats() queue.Stats { return s.in.Stats() }
 
 // Stats returns a snapshot of the stage's activity counters.
 func (s *Stage) Stats() StageStats {
@@ -751,36 +685,46 @@ func (s *Stage) stampLineage(pkt *Packet) {
 	}
 }
 
-// observeLatency records a consumed packet into the stage's latency
-// scratches at virtual time nowNS (Unix nanoseconds): the per-hop latency
-// (upstream emission → consumption here, i.e. queue wait plus link
-// transfer) and the source-to-here latency since the lineage's Birth.
-// flushLatency publishes the scratches; the drain loops call it once per
-// batch and runInner guarantees a final flush on exit.
-func (s *Stage) observeLatency(nowNS int64, pkt *Packet) {
-	hopOK := s.hopScr != nil && !pkt.Created.IsZero()
-	e2eOK := s.e2eScr != nil && !pkt.Birth.IsZero()
+// latencyScratch buffers a stage's latency observations for the hop
+// histogram (emission upstream → consumption here, i.e. queue wait plus
+// link transfer) and the e2e histogram (lineage birth at a source →
+// consumption here). The drain loop records through these goroutine-local
+// scratches and flushes them once per drained batch, so the per-packet
+// path never touches the shared histograms' atomics. Only the stage
+// goroutine records into or flushes them.
+type latencyScratch struct{ hop, e2e *obs.Scratch }
+
+// observe records a consumed packet at virtual time nowNS (Unix
+// nanoseconds).
+func (l *latencyScratch) observe(nowNS int64, pkt *Packet) {
+	hopOK := !pkt.Created.IsZero()
+	e2eOK := !pkt.Birth.IsZero()
 	if hopOK && e2eOK && pkt.Birth == pkt.Created {
 		// First hop past the source: Birth is a field copy of Created,
 		// both series receive the same duration, so bucket it once.
 		// Deeper stages take the general path below.
-		obs.ObserveNSBoth(s.hopScr, s.e2eScr, nowNS-pkt.Created.UnixNano())
+		obs.ObserveNSBoth(l.hop, l.e2e, nowNS-pkt.Created.UnixNano())
 		return
 	}
 	if hopOK {
-		s.hopScr.ObserveNS(nowNS - pkt.Created.UnixNano())
+		l.hop.ObserveNS(nowNS - pkt.Created.UnixNano())
 	}
 	if e2eOK {
-		s.e2eScr.ObserveNS(nowNS - pkt.Birth.UnixNano())
+		l.e2e.ObserveNS(nowNS - pkt.Birth.UnixNano())
 	}
 }
 
+// flush publishes the buffered observations into the histograms.
+func (l *latencyScratch) flush() {
+	l.hop.Flush()
+	l.e2e.Flush()
+}
+
+// flushLatency publishes the stage's buffered latency observations; the
+// stage goroutine calls it before parking and on exit.
 func (s *Stage) flushLatency() {
-	if s.hopScr != nil {
-		s.hopScr.Flush()
-	}
-	if s.e2eScr != nil {
-		s.e2eScr.Flush()
+	if l := s.lat.Load(); l != nil {
+		l.flush()
 	}
 }
 
@@ -1129,9 +1073,9 @@ func (s *Stage) drainOneByOne(ctx context.Context, sctx *Context, em *Emitter) e
 		s.stats.PacketsIn++
 		s.stats.ItemsIn += items
 		s.mu.Unlock()
-		if s.hopScr != nil || s.e2eScr != nil {
-			s.observeLatency(s.clk.Now().UnixNano(), pkt)
-			s.flushLatency()
+		if lat := s.lat.Load(); lat != nil {
+			lat.observe(s.clk.Now().UnixNano(), pkt)
+			lat.flush()
 		}
 		// The cur* value copies survive the packet's recycling; they stay
 		// set through Finish so flushed state inherits the last consumed
@@ -1195,10 +1139,9 @@ func (s *Stage) drainBatched(ctx context.Context, sctx *Context, em *Emitter) er
 		// One clock read covers the whole drained batch; the spread
 		// inside a batch is below the latency bucket resolution.
 		var arrivedNS int64
-		latOn := false
-		if (s.hopScr != nil || s.e2eScr != nil) && n > 0 {
+		lat := s.lat.Load()
+		if lat != nil && n > 0 {
 			arrivedNS = s.clk.Now().UnixNano()
-			latOn = true
 		}
 		done := false
 		for _, pkt := range batch[:n] {
@@ -1224,8 +1167,8 @@ func (s *Stage) drainBatched(ctx context.Context, sctx *Context, em *Emitter) er
 			}
 			pktsIn++
 			itemsIn += uint64(pkt.ItemCount())
-			if latOn {
-				s.observeLatency(arrivedNS, pkt)
+			if lat != nil {
+				lat.observe(arrivedNS, pkt)
 			}
 			s.curIn = pkt
 			s.curBirth, s.curTraceID, s.curTraceHops = pkt.Birth, pkt.TraceID, pkt.TraceHops
@@ -1252,8 +1195,8 @@ func (s *Stage) drainBatched(ctx context.Context, sctx *Context, em *Emitter) er
 			s.stats.ItemsIn += itemsIn
 			s.mu.Unlock()
 		}
-		if latOn {
-			s.flushLatency()
+		if lat != nil {
+			lat.flush()
 		}
 		if err := em.Flush(); err != nil {
 			return err

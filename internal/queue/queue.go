@@ -6,14 +6,18 @@
 // self-adaptation algorithm observes the queue's current length d, its
 // recent average, and its capacity C. This package provides exactly that
 // observable queue: a blocking bounded FIFO whose occupancy statistics are
-// cheap to sample from a concurrent controller.
+// cheap to sample from a concurrent controller. One implementation serves
+// every edge, whatever its producer count: a mutex and two condition
+// variables, which measured as fast as lock-free SPSC and MPSC rings on the
+// pipeline benchmarks (DESIGN.md §10).
 //
 // The queue offers two granularities. Per-item Push/Pop pay one mutex
 // round-trip and one condvar wakeup per item. PushBatch/PopBatch move many
 // items under a single lock acquisition — the §4.1 model's per-batch
 // amortizable service cost — and Len reads an atomic occupancy mirror, so
 // the adaptation controller's periodic sampling never contends with the
-// data path.
+// data path. Every blocking call has a ctx twin; the plain form is the twin
+// under context.Background.
 package queue
 
 import (
@@ -77,6 +81,10 @@ type Queue[T any] struct {
 	length atomic.Int64
 
 	stats Stats
+
+	// watched lists the contexts that have a cancellation watcher
+	// running (see watch).
+	watched []context.Context
 }
 
 // New returns a queue with the given capacity. Capacity must be at least 1;
@@ -116,7 +124,8 @@ func (q *Queue[T]) Stats() Stats {
 
 // Snapshot returns the queued items oldest-first without removing them —
 // the state-capture hook live migration uses to account for the in-flight
-// buffer of a paused stage.
+// buffer of a paused stage. It copies under the lock, so it is safe with
+// live producers and a live consumer.
 func (q *Queue[T]) Snapshot() []T {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -129,28 +138,7 @@ func (q *Queue[T]) Snapshot() []T {
 
 // Push appends v, blocking while the queue is full. It returns ErrClosed if
 // the queue is (or becomes) closed while waiting.
-func (q *Queue[T]) Push(v T) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	blocked := false
-	var stall time.Time
-	for q.n == len(q.buf) && !q.closed {
-		if !blocked {
-			blocked = true
-			q.stats.BlockedPushes++
-			stall = time.Now()
-		}
-		q.notFull.Wait()
-	}
-	if blocked {
-		q.stats.PushStallNS += uint64(time.Since(stall))
-	}
-	if q.closed {
-		return ErrClosed
-	}
-	q.pushLocked(v)
-	return nil
-}
+func (q *Queue[T]) Push(v T) error { return q.PushCtx(context.Background(), v) }
 
 // PushCtx is Push with cancellation. If ctx is done before space is
 // available it returns ctx.Err().
@@ -159,73 +147,12 @@ func (q *Queue[T]) PushCtx(ctx context.Context, v T) error {
 		return err
 	}
 	q.mu.Lock()
-	// Fast path: space available, no watcher goroutine needed.
-	if q.closed {
-		q.mu.Unlock()
-		return ErrClosed
-	}
-	if q.n < len(q.buf) {
-		q.pushLocked(v)
-		q.mu.Unlock()
-		return nil
-	}
-	q.mu.Unlock()
-	return q.pushCtxSlow(ctx, v)
-}
-
-func (q *Queue[T]) pushCtxSlow(ctx context.Context, v T) error {
-	stop := q.watchCancel(ctx)
-	defer stop()
-
-	q.mu.Lock()
 	defer q.mu.Unlock()
-	blocked := false
-	var stall time.Time
-	for q.n == len(q.buf) && !q.closed && ctx.Err() == nil {
-		if !blocked {
-			blocked = true
-			q.stats.BlockedPushes++
-			stall = time.Now()
-		}
-		q.notFull.Wait()
-	}
-	if blocked {
-		q.stats.PushStallNS += uint64(time.Since(stall))
-	}
-	if err := ctx.Err(); err != nil {
-		// This waiter may have absorbed a Signal meant for another
-		// blocked producer; pass it on so the wakeup is not lost.
-		if q.n < len(q.buf) {
-			q.notFull.Signal()
-		}
+	if err := q.waitRoom(ctx); err != nil {
 		return err
-	}
-	if q.closed {
-		return ErrClosed
 	}
 	q.pushLocked(v)
 	return nil
-}
-
-// watchCancel arranges for both condvars to be woken when ctx is canceled,
-// so a blocked waiter can observe the cancellation. The broadcast
-// synchronizes on q.mu: a waiter that has checked its predicate but not yet
-// suspended in Wait still holds the lock, so the wakeup cannot slip into
-// that window and be missed. The returned stop function releases the
-// watcher.
-func (q *Queue[T]) watchCancel(ctx context.Context) (stop func()) {
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			q.mu.Lock()
-			q.notFull.Broadcast()
-			q.notEmpty.Broadcast()
-			q.mu.Unlock()
-		case <-done:
-		}
-	}()
-	return func() { close(done) }
 }
 
 // TryPush appends v without blocking. It returns ErrFull when at capacity
@@ -255,34 +182,8 @@ func (q *Queue[T]) TryPush(v T) error {
 // of the batch may already have been accepted (and is counted in
 // Stats.Pushed).
 func (q *Queue[T]) PushBatch(items []T) error {
-	for len(items) > 0 {
-		q.mu.Lock()
-		blocked := false
-		var stall time.Time
-		for q.n == len(q.buf) && !q.closed {
-			if !blocked {
-				blocked = true
-				q.stats.BlockedPushes++
-				stall = time.Now()
-			}
-			q.notFull.Wait()
-		}
-		if blocked {
-			q.stats.PushStallNS += uint64(time.Since(stall))
-		}
-		if q.closed {
-			q.mu.Unlock()
-			return ErrClosed
-		}
-		k := len(q.buf) - q.n
-		if k > len(items) {
-			k = len(items)
-		}
-		q.enqueueLocked(items[:k])
-		q.mu.Unlock()
-		items = items[k:]
-	}
-	return nil
+	_, err := q.PushBatchN(context.Background(), items)
+	return err
 }
 
 // PushBatchCtx is PushBatch with cancellation. On ctx cancellation a prefix
@@ -303,21 +204,11 @@ func (q *Queue[T]) PushBatchN(ctx context.Context, items []T) (int, error) {
 			return pushed, err
 		}
 		q.mu.Lock()
-		if q.closed {
+		if err := q.waitRoom(ctx); err != nil {
 			q.mu.Unlock()
-			return pushed, ErrClosed
+			return pushed, err
 		}
-		if q.n == len(q.buf) {
-			q.mu.Unlock()
-			if err := q.waitNotFull(ctx); err != nil {
-				return pushed, err
-			}
-			continue // re-check under a fresh lock
-		}
-		k := len(q.buf) - q.n
-		if k > len(items) {
-			k = len(items)
-		}
+		k := min(len(q.buf)-q.n, len(items))
 		q.enqueueLocked(items[:k])
 		q.mu.Unlock()
 		items = items[k:]
@@ -326,36 +217,110 @@ func (q *Queue[T]) PushBatchN(ctx context.Context, items []T) (int, error) {
 	return pushed, nil
 }
 
-// waitNotFull blocks until the queue has space, is closed, or ctx is done.
-// It returns nil when waiting ended for a (possibly stale) reason the
-// caller should re-examine under its own lock, or ctx.Err() on
-// cancellation.
-func (q *Queue[T]) waitNotFull(ctx context.Context) error {
-	stop := q.watchCancel(ctx)
-	defer stop()
-
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	blocked := false
-	var stall time.Time
-	for q.n == len(q.buf) && !q.closed && ctx.Err() == nil {
-		if !blocked {
-			blocked = true
-			q.stats.BlockedPushes++
-			stall = time.Now()
+// waitRoom parks the caller while the queue is full, open, and ctx is live.
+// It returns nil when there is room, ErrClosed once the queue is closed,
+// or ctx.Err() on cancellation. Each park is one blocked-push event. The
+// caller holds mu.
+func (q *Queue[T]) waitRoom(ctx context.Context) error {
+	if q.n == len(q.buf) && !q.closed {
+		q.watch(ctx)
+		blocked := false
+		var stall time.Time
+		for q.n == len(q.buf) && !q.closed && ctx.Err() == nil {
+			if !blocked {
+				blocked = true
+				q.stats.BlockedPushes++
+				stall = time.Now()
+			}
+			q.notFull.Wait()
 		}
-		q.notFull.Wait()
-	}
-	if blocked {
-		q.stats.PushStallNS += uint64(time.Since(stall))
-	}
-	if err := ctx.Err(); err != nil {
-		if q.n < len(q.buf) {
-			q.notFull.Signal() // hand off an absorbed wakeup
+		if blocked {
+			q.stats.PushStallNS += uint64(time.Since(stall))
 		}
-		return err
+		if err := ctx.Err(); err != nil {
+			// This waiter may have absorbed a Signal meant for another
+			// blocked producer; pass it on so the wakeup is not lost.
+			if q.n < len(q.buf) {
+				q.notFull.Signal()
+			}
+			return err
+		}
+	}
+	if q.closed {
+		return ErrClosed
 	}
 	return nil
+}
+
+// waitItems parks the caller while the queue is empty, open, and ctx is
+// live. It returns nil when an item is ready, ErrClosed once the queue is
+// closed and drained, or ctx.Err() on cancellation. Each park is one
+// blocked-pop event. The caller holds mu.
+func (q *Queue[T]) waitItems(ctx context.Context) error {
+	if q.n == 0 && !q.closed {
+		q.watch(ctx)
+		blocked := false
+		var stall time.Time
+		for q.n == 0 && !q.closed && ctx.Err() == nil {
+			if !blocked {
+				blocked = true
+				q.stats.BlockedPops++
+				stall = time.Now()
+			}
+			q.notEmpty.Wait()
+		}
+		if blocked {
+			q.stats.PopStallNS += uint64(time.Since(stall))
+		}
+		if err := ctx.Err(); err != nil {
+			if q.n > 0 {
+				q.notEmpty.Signal() // hand off an absorbed wakeup
+			}
+			return err
+		}
+	}
+	if q.n == 0 { // closed and drained
+		return ErrClosed
+	}
+	return nil
+}
+
+// watch makes sure a goroutine wakes every waiter once ctx is done, so a
+// parked ctx-bearing call observes its cancellation. There is one watcher
+// per live context, kept until that context ends, so repeated parking
+// under the same context (a stage's pop context for a whole pause epoch)
+// allocates nothing after the first wait. A watcher lives as long as its
+// context, so a context that is never canceled keeps one goroutine parked;
+// every context the pipeline parks under ends with its pause epoch or run.
+// The watcher broadcasts under mu: a waiter that has checked its predicate
+// but not yet suspended in Wait still holds the lock, so the wakeup cannot
+// slip into that window and be missed. The caller holds mu.
+func (q *Queue[T]) watch(ctx context.Context) {
+	if ctx.Done() == nil {
+		return // never canceled
+	}
+	for _, w := range q.watched {
+		if w == ctx {
+			return
+		}
+	}
+	q.watched = append(q.watched, ctx)
+	go func() {
+		<-ctx.Done()
+		q.mu.Lock()
+		for i, w := range q.watched {
+			if w == ctx {
+				last := len(q.watched) - 1
+				q.watched[i] = q.watched[last]
+				q.watched[last] = nil
+				q.watched = q.watched[:last]
+				break
+			}
+		}
+		q.notFull.Broadcast()
+		q.notEmpty.Broadcast()
+		q.mu.Unlock()
+	}()
 }
 
 // pushLocked appends one item; the caller holds mu.
@@ -399,78 +364,18 @@ func (q *Queue[T]) enqueueLocked(items []T) {
 
 // Pop removes and returns the oldest item, blocking while the queue is
 // empty. Once the queue is closed and drained it returns ErrClosed.
-func (q *Queue[T]) Pop() (T, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	blocked := false
-	var stall time.Time
-	for q.n == 0 && !q.closed {
-		if !blocked {
-			blocked = true
-			q.stats.BlockedPops++
-			stall = time.Now()
-		}
-		q.notEmpty.Wait()
-	}
-	if blocked {
-		q.stats.PopStallNS += uint64(time.Since(stall))
-	}
-	var zero T
-	if q.n == 0 { // closed and drained
-		return zero, ErrClosed
-	}
-	return q.popLocked(), nil
-}
+func (q *Queue[T]) Pop() (T, error) { return q.PopCtx(context.Background()) }
 
-// PopCtx is Pop with cancellation.
+// PopCtx is Pop with cancellation: on ctx.Err() nothing is consumed.
 func (q *Queue[T]) PopCtx(ctx context.Context) (T, error) {
 	var zero T
 	if err := ctx.Err(); err != nil {
 		return zero, err
 	}
 	q.mu.Lock()
-	// Fast path: an item is ready, no watcher goroutine needed.
-	if q.n > 0 {
-		v := q.popLocked()
-		q.mu.Unlock()
-		return v, nil
-	}
-	if q.closed {
-		q.mu.Unlock()
-		return zero, ErrClosed
-	}
-	q.mu.Unlock()
-	return q.popCtxSlow(ctx)
-}
-
-func (q *Queue[T]) popCtxSlow(ctx context.Context) (T, error) {
-	stop := q.watchCancel(ctx)
-	defer stop()
-
-	q.mu.Lock()
 	defer q.mu.Unlock()
-	var zero T
-	blocked := false
-	var stall time.Time
-	for q.n == 0 && !q.closed && ctx.Err() == nil {
-		if !blocked {
-			blocked = true
-			q.stats.BlockedPops++
-			stall = time.Now()
-		}
-		q.notEmpty.Wait()
-	}
-	if blocked {
-		q.stats.PopStallNS += uint64(time.Since(stall))
-	}
-	if err := ctx.Err(); err != nil {
-		if q.n > 0 {
-			q.notEmpty.Signal() // hand off an absorbed wakeup
-		}
+	if err := q.waitItems(ctx); err != nil {
 		return zero, err
-	}
-	if q.n == 0 {
-		return zero, ErrClosed
 	}
 	return q.popLocked(), nil
 }
@@ -497,36 +402,7 @@ func (q *Queue[T]) TryPop() (T, error) {
 // acquisition; PopBatch never waits for the queue to fill, so batching adds
 // no latency. max <= 0 means len(dst).
 func (q *Queue[T]) PopBatch(dst []T, max int) (int, error) {
-	if max <= 0 || max > len(dst) {
-		max = len(dst)
-	}
-	if max == 0 {
-		return 0, nil
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	blocked := false
-	var stall time.Time
-	for q.n == 0 && !q.closed {
-		if !blocked {
-			blocked = true
-			q.stats.BlockedPops++
-			stall = time.Now()
-		}
-		q.notEmpty.Wait()
-	}
-	if blocked {
-		q.stats.PopStallNS += uint64(time.Since(stall))
-	}
-	if q.n == 0 {
-		return 0, ErrClosed
-	}
-	k := q.n
-	if k > max {
-		k = max
-	}
-	q.dequeueLocked(dst[:k])
-	return k, nil
+	return q.PopBatchCtx(context.Background(), dst, max)
 }
 
 // PopBatchCtx is PopBatch with cancellation.
@@ -541,56 +417,11 @@ func (q *Queue[T]) PopBatchCtx(ctx context.Context, dst []T, max int) (int, erro
 		return 0, err
 	}
 	q.mu.Lock()
-	// Fast path mirroring PopCtx.
-	if q.n > 0 {
-		k := q.n
-		if k > max {
-			k = max
-		}
-		q.dequeueLocked(dst[:k])
-		q.mu.Unlock()
-		return k, nil
-	}
-	if q.closed {
-		q.mu.Unlock()
-		return 0, ErrClosed
-	}
-	q.mu.Unlock()
-	return q.popBatchCtxSlow(ctx, dst, max)
-}
-
-func (q *Queue[T]) popBatchCtxSlow(ctx context.Context, dst []T, max int) (int, error) {
-	stop := q.watchCancel(ctx)
-	defer stop()
-
-	q.mu.Lock()
 	defer q.mu.Unlock()
-	blocked := false
-	var stall time.Time
-	for q.n == 0 && !q.closed && ctx.Err() == nil {
-		if !blocked {
-			blocked = true
-			q.stats.BlockedPops++
-			stall = time.Now()
-		}
-		q.notEmpty.Wait()
-	}
-	if blocked {
-		q.stats.PopStallNS += uint64(time.Since(stall))
-	}
-	if err := ctx.Err(); err != nil {
-		if q.n > 0 {
-			q.notEmpty.Signal()
-		}
+	if err := q.waitItems(ctx); err != nil {
 		return 0, err
 	}
-	if q.n == 0 {
-		return 0, ErrClosed
-	}
-	k := q.n
-	if k > max {
-		k = max
-	}
+	k := min(q.n, max)
 	q.dequeueLocked(dst[:k])
 	return k, nil
 }

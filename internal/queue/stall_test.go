@@ -73,49 +73,3 @@ func TestQueueUncontendedNoStall(t *testing.T) {
 		t.Fatalf("uncontended traffic accrued stall: push=%d pop=%d", st.PushStallNS, st.PopStallNS)
 	}
 }
-
-func TestRingStallAccounting(t *testing.T) {
-	for name, mk := range map[string]func(int) *Ring[int]{
-		"spsc": NewSPSC[int], "mpsc": NewMPSC[int],
-	} {
-		t.Run(name, func(t *testing.T) {
-			r := mk(2)
-			for r.Len() < r.Cap() {
-				if err := r.Push(1); err != nil {
-					t.Fatal(err)
-				}
-			}
-			done := make(chan error, 1)
-			go func() { done <- r.Push(2) }() // parks: ring full
-			time.Sleep(stallDelay)
-			if _, err := r.Pop(); err != nil {
-				t.Fatal(err)
-			}
-			if err := <-done; err != nil {
-				t.Fatal(err)
-			}
-			if st := r.Stats(); st.PushStallNS < uint64(stallDelay/2) {
-				t.Fatalf("PushStallNS = %d, want at least ~%d", st.PushStallNS, stallDelay/2)
-			}
-
-			// Drain everything, then park the consumer on empty.
-			for r.Len() > 0 {
-				if _, err := r.Pop(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			popped := make(chan error, 1)
-			go func() { _, err := r.Pop(); popped <- err }()
-			time.Sleep(stallDelay)
-			if err := r.Push(3); err != nil {
-				t.Fatal(err)
-			}
-			if err := <-popped; err != nil {
-				t.Fatal(err)
-			}
-			if st := r.Stats(); st.PopStallNS < uint64(stallDelay/2) {
-				t.Fatalf("PopStallNS = %d, want at least ~%d", st.PopStallNS, stallDelay/2)
-			}
-		})
-	}
-}

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"runtime"
 	"sync"
@@ -170,6 +171,18 @@ func (f *chaosFixture) stage(t *testing.T, id string) *pipeline.Stage {
 		t.Fatalf("stage %s/0 not deployed", id)
 	}
 	return st
+}
+
+// summarizerIdle reports whether the fixture's summarizer has consumed
+// items and finished the emission they trigger. ItemsIn counts an item
+// before Process runs, so ItemsIn alone can flip while Process is still
+// emitting the summary the last item completed — and a checkpoint pause
+// landing there parks mid-emit and captures nothing. One summary per 250
+// items is due; once it is out, the summarizer's next stop is an empty
+// inbox, a drain boundary.
+func summarizerIdle(st *pipeline.Stage, items int) bool {
+	stats := st.Stats()
+	return stats.ItemsIn == uint64(items) && stats.PacketsOut == uint64(items/250)
 }
 
 // waitUntil polls a monotone condition with a wall-clock deadline; the
@@ -405,7 +418,7 @@ func TestChaosSnapshotterRestoreBitIdentical(t *testing.T) {
 	summarize := f.stage(t, "summarize")
 	<-f.src.mid
 	waitUntil(t, "summarize to drain the first half", func() bool {
-		return summarize.Stats().ItemsIn == 1000
+		return summarizerIdle(summarize, 1000)
 	})
 	ctx := context.Background()
 	if err := f.ck.CheckpointInstance(ctx, summarize); err != nil {
@@ -445,6 +458,60 @@ func TestChaosSnapshotterRestoreBitIdentical(t *testing.T) {
 	close(f.src.finish)
 	if err := f.app.Wait(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCheckpointSkipsMidEmitPause pins the visible skip: a source parked on
+// a full inbox is paused inside its emission, so CheckpointInstance reports
+// ErrCheckpointSkipped and stores nothing, and a periodic round counts the
+// attempt as a skip, not a failure.
+func TestCheckpointSkipsMidEmitPause(t *testing.T) {
+	const items = 2000
+	f := newGatedChaosFixture(t, items)
+	stream := f.stage(t, "stream")
+	summarize := f.stage(t, "summarize")
+	ctx := context.Background()
+	<-f.src.mid
+	if err := summarize.Pause(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// The source is parked at its gate, so the count is stable until it
+	// is released into the paused summarizer's inbox.
+	blocked := summarize.QueueStats().BlockedPushes
+	close(f.src.goOn)
+	waitUntil(t, "the source to block on the paused summarizer's full inbox", func() bool {
+		return summarize.QueueStats().BlockedPushes > blocked
+	})
+
+	if err := f.ck.CheckpointInstance(ctx, stream); !errors.Is(err, ErrCheckpointSkipped) {
+		t.Fatalf("checkpoint of a source paused mid-emit = %v, want ErrCheckpointSkipped", err)
+	}
+	if _, ok := f.store.Latest("stream", 0); ok {
+		t.Error("a mid-emit pause stored a checkpoint")
+	}
+	// The round: stream is skipped again (still blocked on the paused
+	// inbox), summarize fails with the test's own pause pending, and
+	// central is captured.
+	if got := f.ck.CheckpointAll(ctx); got != 1 {
+		t.Errorf("round captured %d instances, want 1 (central)", got)
+	}
+	if got := f.ck.skips.Value(); got != 1 {
+		t.Errorf("skips counter = %v, want 1", got)
+	}
+	if got := f.ck.failures.Value(); got != 1 {
+		t.Errorf("failures counter = %v, want 1 (summarize's pending pause)", got)
+	}
+
+	if err := summarize.Resume(); err != nil {
+		t.Fatal(err)
+	}
+	<-f.src.tail
+	close(f.src.finish)
+	if err := f.app.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if got := summarize.Stats().ItemsIn; got != items {
+		t.Errorf("summarize consumed %d items, want %d", got, items)
 	}
 }
 
@@ -507,7 +574,7 @@ func TestHealthMonitorDrivesRecovery(t *testing.T) {
 
 	<-f.src.mid
 	waitUntil(t, "first half to quiesce", func() bool {
-		return summarize.Stats().ItemsIn == uint64(items/2)
+		return summarizerIdle(summarize, items/2)
 	})
 	ctx := context.Background()
 	if err := f.ck.CheckpointInstance(ctx, summarize); err != nil {

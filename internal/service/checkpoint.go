@@ -11,6 +11,13 @@ import (
 	"github.com/gates-middleware/gates/internal/pipeline"
 )
 
+// ErrCheckpointSkipped is wrapped by CheckpointInstance when the pause
+// landed inside an emission (see pipeline.Stage.PausedMidEmit): the user
+// code may be mid-Process, so the instance's state is not a consistent cut
+// and nothing was captured. The instance keeps its previous checkpoint and
+// the next round tries again.
+var ErrCheckpointSkipped = errors.New("paused mid-emit, checkpoint skipped")
+
 // Checkpoint is one captured recovery point for a stage instance: the
 // serialized processor state (when the stage implements
 // pipeline.Snapshotter), the emission cursor, and the per-upstream
@@ -82,6 +89,7 @@ type Checkpointer struct {
 	rounds    *obs.Counter
 	captures  *obs.Counter
 	failures  *obs.Counter
+	skips     *obs.Counter
 	stateSize *obs.Counter
 }
 
@@ -102,6 +110,8 @@ func NewCheckpointer(dep *Deployment, store *CheckpointStore, interval time.Dura
 			"Stage-instance checkpoints captured.", nil)
 		c.failures = o.Registry.Counter("gates_checkpoint_failures_total",
 			"Stage-instance checkpoint attempts that failed.", nil)
+		c.skips = o.Registry.Counter("gates_checkpoint_skips_total",
+			"Stage-instance checkpoint attempts skipped because the pause landed mid-emit.", nil)
 		c.stateSize = o.Registry.Counter("gates_checkpoint_state_bytes_total",
 			"Serialized snapshot bytes captured across all checkpoints.", nil)
 	}
@@ -152,25 +162,34 @@ func (c *Checkpointer) Stop() {
 
 // CheckpointAll captures every instance of the deployment once, skipping
 // instances that are stopped or already being paused by someone else (the
-// next round, or recovery itself, will cover them). It returns the number
-// of instances captured.
+// next round, or recovery itself, will cover them). A pause that lands
+// mid-emit counts as a skip, not a failure. It returns the number of
+// instances captured.
 func (c *Checkpointer) CheckpointAll(ctx context.Context) int {
+	dep := c.dep.deployer
 	captured := 0
 	for _, sts := range c.dep.Stages {
 		for _, st := range sts {
 			if ctx.Err() != nil {
 				return captured
 			}
-			if err := c.CheckpointInstance(ctx, st); err != nil {
+			err := c.CheckpointInstance(ctx, st)
+			switch {
+			case err == nil:
+				captured++
+			case errors.Is(err, ErrCheckpointSkipped):
+				if c.skips != nil {
+					c.skips.Inc()
+				}
+				dep.o.Log().Info("checkpoint skipped",
+					"stage", st.ID(), "instance", st.Instance(), "reason", "paused mid-emit")
+			default:
 				if c.failures != nil {
 					c.failures.Inc()
 				}
-				continue
 			}
-			captured++
 		}
 	}
-	dep := c.dep.deployer
 	if c.rounds != nil {
 		c.rounds.Inc()
 	}
@@ -186,7 +205,8 @@ func (c *Checkpointer) CheckpointAll(ctx context.Context) int {
 
 // CheckpointInstance captures one instance: pause at a drain boundary,
 // snapshot state + cursors, resume. Contention with another pauser
-// (a migration, a recovery) is reported as an error, not retried — the
+// (a migration, a recovery) is reported as an error, not retried, and a
+// pause that lands mid-emit returns ErrCheckpointSkipped; either way the
 // instance keeps its previous checkpoint.
 func (c *Checkpointer) CheckpointInstance(ctx context.Context, st *pipeline.Stage) error {
 	if st.State() == pipeline.StateStopped {
@@ -204,7 +224,7 @@ func (c *Checkpointer) CheckpointInstance(ctx context.Context, st *pipeline.Stag
 		if err := st.Resume(); err != nil {
 			return fmt.Errorf("service: checkpoint %s/%d: %w", st.ID(), st.Instance(), err)
 		}
-		return nil
+		return fmt.Errorf("service: checkpoint %s/%d: %w", st.ID(), st.Instance(), ErrCheckpointSkipped)
 	}
 	cp := Checkpoint{
 		Stage:    st.ID(),

@@ -237,13 +237,6 @@ func (d *Deployer) Apply(cfg *AppConfig, plan *Plan, tuning StageTuning) (*Deplo
 			if s.QueueCapacity > 0 && scfg.QueueCapacity == 0 {
 				scfg.QueueCapacity = s.QueueCapacity
 			}
-			// Carry the Plan-time queue decision into the engine unless
-			// the tuning already pinned an implementation explicitly.
-			if !s.Source && scfg.Queue == pipeline.QueueAuto {
-				if k, ok := plan.QueueKindFor(s.ID, inst); ok {
-					scfg.Queue = k
-				}
-			}
 			var st *pipeline.Stage
 			var err error
 			if s.Source {

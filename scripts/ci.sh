@@ -1,8 +1,8 @@
 #!/bin/sh
 # The full CI lane: vet, static analysis (when staticcheck is installed),
-# build, plain tests, the race-detector lane, a coverage run emitting
-# coverage.out, a short benchmark smoke, and the observability-overhead
-# guard. Run from anywhere; it cds to the repo root.
+# build, plain tests, the race-detector and stress lanes, a coverage run
+# emitting coverage.out, a short benchmark smoke, and the
+# observability-overhead guard. Run from anywhere; it cds to the repo root.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -25,6 +25,13 @@ go test ./...
 
 echo "== go test -race =="
 go test -race ./...
+
+echo "== stress =="
+# The concurrent packages under the race detector, several passes each:
+# interleavings a single pass rarely reaches (a drain loop racing a late
+# Instrument, a checkpoint pause landing mid-emit) show up here.
+go test -race -count=4 ./internal/queue ./internal/pipeline ./internal/service \
+  ./internal/transport ./internal/obs .
 
 echo "== migration smoke =="
 # Live re-deployment lane: the deterministic manual-clock zero-loss
@@ -212,10 +219,11 @@ go test -run '^$' -bench 'BenchmarkPipelineThroughput$|BenchmarkBatchSizeSweep|B
 echo "== zero-alloc guard =="
 # The pooled hot path must stay allocation-free: the steady state of
 # BenchmarkPipelineThroughput and every BenchmarkBatchSizeSweep size runs
-# entirely on recycled packets and ring slots, so any allocs/op above zero
-# means a pooling regression (a new per-packet allocation or a packet
-# escaping its recycle point). Benchtime is long enough that per-run setup
-# (engine construction inside the timed region) amortizes to zero.
+# entirely on recycled packets and preallocated inbox slots, so any
+# allocs/op above zero means a pooling regression (a new per-packet
+# allocation or a packet escaping its recycle point). Benchtime is long
+# enough that per-run setup (engine construction inside the timed region)
+# amortizes to zero.
 alloc_raw="$(go test -run '^$' -bench 'BenchmarkPipelineThroughput$|BenchmarkBatchSizeSweep' \
   -benchmem -benchtime 500ms .)"
 echo "$alloc_raw"
